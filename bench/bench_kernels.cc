@@ -387,7 +387,9 @@ timeGemm(Fn &&fn)
 
 /// --gemm-json[=path]: packed-vs-fp32 sweep over decode-shaped GEMV and
 /// prefill GEMM sizes, written as JSON (GFLOP/s, operand bytes moved,
-/// resident weight bytes, speedup).
+/// resident weight bytes, speedup). The packed lane runs on [out, in]
+/// codes (trans_w=true); the packed_wt lane on W^T codes
+/// (trans_w=false), the layout Linear serves from.
 int
 gemmJsonMain(const std::string &path)
 {
@@ -395,10 +397,10 @@ gemmJsonMain(const std::string &path)
     struct Case {
         int64_t m, d;
     };
-    // m = 1 / 8: single-stream and batched decode GEMVs; m = 64:
+    // m = 1 / 3 / 8: single-stream and batched decode GEMVs; m = 64:
     // prefill-shaped. d covers the model ladder's hidden sizes.
     const std::vector<Case> cases = {
-        {1, 256}, {1, 512}, {1, 1024}, {8, 512}, {64, 512}};
+        {1, 256}, {1, 512}, {1, 1024}, {3, 512}, {8, 512}, {64, 512}};
 
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -416,6 +418,7 @@ gemmJsonMain(const std::string &path)
         rng.fillNormal(a);
         rng.fillNormal(w);
         const PackedTensor pw = PackedTensor::pack(w, q);
+        const PackedTensor pwt = PackedTensor::packTransposed(w, q);
         // The fp32 baseline runs on the decoded (fake-quantized)
         // weights — the tensor the packed codes replace.
         const Tensor wf = pw.unpack();
@@ -424,9 +427,12 @@ gemmJsonMain(const std::string &path)
             timeGemm([&] { gemm(a, false, wf, true, c); });
         const double s_packed =
             timeGemm([&] { gemmQuantized(a, false, pw, true, c); });
+        const double s_wt =
+            timeGemm([&] { gemmQuantized(a, false, pwt, false, c); });
         const double flops = 2.0 * static_cast<double>(m * n * k);
         const double g_fp32 = flops / s_fp32 / 1e9;
         const double g_packed = flops / s_packed / 1e9;
+        const double g_wt = flops / s_wt / 1e9;
         // Operand traffic per call: activations + weights + output.
         const double mb_fp32 =
             4.0 * static_cast<double>(m * k + n * k + m * n);
@@ -438,17 +444,21 @@ gemmJsonMain(const std::string &path)
             f,
             "    {\"m\": %lld, \"n\": %lld, \"k\": %lld, "
             "\"fp32_gflops\": %.3f, \"packed_gflops\": %.3f, "
-            "\"speedup\": %.3f, \"fp32_weight_bytes\": %zu, "
+            "\"speedup\": %.3f, \"packed_wt_gflops\": %.3f, "
+            "\"speedup_wt\": %.3f, \"fp32_weight_bytes\": %zu, "
             "\"packed_weight_bytes\": %zu, \"fp32_bytes_moved\": %.0f, "
             "\"packed_bytes_moved\": %.0f}%s\n",
             static_cast<long long>(m), static_cast<long long>(n),
             static_cast<long long>(k), g_fp32, g_packed,
-            s_fp32 / s_packed, pw.fp32Bytes(), pw.packedBytes(), mb_fp32,
-            mb_packed, ci + 1 < cases.size() ? "," : "");
+            s_fp32 / s_packed, g_wt, s_fp32 / s_wt, pw.fp32Bytes(),
+            pw.packedBytes(), mb_fp32, mb_packed,
+            ci + 1 < cases.size() ? "," : "");
         std::printf("  m=%-3lld d=%-5lld fp32 %8.3f GFLOP/s   packed "
-                    "%8.3f GFLOP/s   speedup %.2fx\n",
+                    "%8.3f GFLOP/s (%.2fx)   packed W^T %8.3f GFLOP/s "
+                    "(%.2fx)\n",
                     static_cast<long long>(m), static_cast<long long>(n),
-                    g_fp32, g_packed, s_fp32 / s_packed);
+                    g_fp32, g_packed, s_fp32 / s_packed, g_wt,
+                    s_fp32 / s_wt);
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

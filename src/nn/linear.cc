@@ -112,7 +112,9 @@ Linear::ensurePacked(const Quantizer &q)
         q.quantizeInPlace(wq.data(), static_cast<size_t>(wq.numel()), h);
         trace::healthAccumulate("weight", h);
     }
-    packed_ = PackedTensor::pack(weight.value, q);
+    // Pack W^T ([in, out]): a k step's output columns are then adjacent
+    // codes, which the gather kernel loads 8 at a time (trans_w=false).
+    packed_ = PackedTensor::packTransposed(weight.value, q);
 }
 
 Tensor
@@ -169,7 +171,7 @@ Linear::forwardPacked(QuantSession &qs, const Tensor &x,
     }
 
     Tensor y({xq.dim(0), out_});
-    gemmQuantized(xq, false, packed_, true, y, 1.0f, 0.0f, &epi);
+    gemmQuantized(xq, false, packed_, false, y, 1.0f, 0.0f, &epi);
     for (size_t s = 0; s < nh; ++s)
         trace::healthAccumulate(points[s], healths[s]);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "tensor/ops.h"
@@ -14,6 +15,20 @@ namespace qt8 {
 PackedTensor
 PackedTensor::pack(const Tensor &t, const Quantizer &q, float scale)
 {
+    return packCodes(t, q, scale, false);
+}
+
+PackedTensor
+PackedTensor::packTransposed(const Tensor &t, const Quantizer &q,
+                             float scale)
+{
+    return packCodes(t, q, scale, true);
+}
+
+PackedTensor
+PackedTensor::packCodes(const Tensor &t, const Quantizer &q, float scale,
+                        bool transpose)
+{
     if (!packable(q))
         throw std::invalid_argument(
             "PackedTensor: format not packable (need a <=256-value "
@@ -21,8 +36,10 @@ PackedTensor::pack(const Tensor &t, const Quantizer &q, float scale)
     if (t.rank() != 2)
         throw std::invalid_argument("PackedTensor: rank-2 tensors only");
 
+    const int64_t rows = t.dim(0);
+    const int64_t cols = t.dim(1);
     PackedTensor p;
-    p.shape_ = t.shape();
+    p.shape_ = transpose ? std::vector<int64_t>{cols, rows} : t.shape();
     p.format_ = q.name();
     p.scale_ = scale;
 
@@ -35,16 +52,18 @@ PackedTensor::pack(const Tensor &t, const Quantizer &q, float scale)
     for (size_t i = 0; i < vals.size(); ++i)
         p.table_[i] = static_cast<double>(vals[i] * inv);
 
-    const int64_t numel = t.numel();
-    p.codes_.resize(static_cast<size_t>(numel));
+    p.codes_.resize(static_cast<size_t>(rows * cols));
     const float *src = t.data();
-    for (int64_t i = 0; i < numel; ++i) {
-        const float x = src[i];
-        if (std::isnan(x))
-            throw std::invalid_argument(
-                "PackedTensor: NaN element has no grid code");
-        p.codes_[static_cast<size_t>(i)] =
-            static_cast<uint8_t>(q.gridIndex(x * scale));
+    for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t c = 0; c < cols; ++c) {
+            const float x = src[r * cols + c];
+            if (std::isnan(x))
+                throw std::invalid_argument(
+                    "PackedTensor: NaN element has no grid code");
+            p.codes_[static_cast<size_t>(transpose ? c * rows + r
+                                                   : r * cols + c)] =
+                static_cast<uint8_t>(q.gridIndex(x * scale));
+        }
     }
     return p;
 }
@@ -64,9 +83,9 @@ namespace {
 /// Output tile: 64 rows x 8 columns (8 = the SIMD accumulator width).
 constexpr int64_t kPackedMBlock = 64;
 constexpr int64_t kPackedNR = 8;
-/// k-chunk of the decoded panel: 256 x 8 doubles = 16 KB, L1-resident,
+/// k-chunk of a decoded panel: 256 x 8 doubles = 16 KB, L1-resident,
 /// shared by every row of the tile before the next chunk is decoded.
-constexpr int64_t kPackedKChunk = 256;
+constexpr int64_t kPackedKChunk = detail::kGatherPanelSteps;
 /// Same parallelism work threshold as the fp32 blocked GEMM.
 constexpr int64_t kPackedParallelFlops = 16384;
 
@@ -89,6 +108,36 @@ pickDotKernel()
 {
     return detail::packedSimdAvailable() ? detail::dotChunk8Simd
                                          : dotChunk8Portable;
+}
+
+/**
+ * Code-row offsets (physical row * @p stride) of logical rows [0, rows)
+ * through the page table, for the gather kernels: @p off gets one entry
+ * per row, padded to whole 8-lane strips by repeating the last strip's
+ * first row (those lanes are discarded). False when a row's @p span
+ * bytes would not be addressable by a 32-bit gather index.
+ */
+bool
+pagedRowOffsets(const int32_t *pages, int64_t page_size, int64_t rows,
+                int64_t stride, int64_t span, std::vector<int32_t> &off)
+{
+    const int64_t strips = (rows + kPackedNR - 1) / kPackedNR;
+    off.resize(static_cast<size_t>(strips * kPackedNR));
+    for (int64_t r0 = 0, p = 0; r0 < rows; r0 += page_size, ++p) {
+        const int64_t n = std::min(page_size, rows - r0);
+        const int64_t base =
+            static_cast<int64_t>(pages[p]) * page_size * stride;
+        if (base + (n - 1) * stride + span >
+            std::numeric_limits<int32_t>::max())
+            return false;
+        for (int64_t o = 0; o < n; ++o)
+            off[static_cast<size_t>(r0 + o)] =
+                static_cast<int32_t>(base + o * stride);
+    }
+    for (int64_t r = rows; r < strips * kPackedNR; ++r)
+        off[static_cast<size_t>(r)] =
+            off[static_cast<size_t>(r - r % kPackedNR)];
+    return true;
 }
 
 /**
@@ -167,6 +216,10 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
     checkQuantizedShapes(a, trans_a, w, trans_w, c, m, n, k);
 
     static const DotFn dot = pickDotKernel();
+    // The gather kernels address codes with 32-bit offsets.
+    static const bool gather_hw = detail::packedGatherAvailable();
+    const bool gather =
+        gather_hw && w.numel() <= std::numeric_limits<int32_t>::max();
 
     const float *pa = a.data();
     float *pc = c.data();
@@ -184,11 +237,14 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
 
 #pragma omp parallel if (par)
     {
-        // Per-thread scratch: the op(A) pack for trans_a (full-k rows,
-        // as in the fp32 blocked GEMM), the decoded [kc x 8] weight
+        // Per-thread scratch: the op(A) rows of the current row block
+        // (packed for trans_a, as in the fp32 blocked GEMM; widened to
+        // double for the gather kernels), the decoded [kc x 8] weight
         // panel, the per-row accumulators, and per-stage health
         // partials (merged once at the end).
         std::vector<float> a_pack;
+        std::vector<double> a_wide;
+        int64_t a_block = -1; // row block a_pack / a_wide hold
         std::vector<double> wdec(
             static_cast<size_t>(kPackedKChunk * kPackedNR));
         std::vector<double> acc(
@@ -203,7 +259,7 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
             const int64_t bm = i1 - i0;
             const int64_t bn = std::min(n - j0, kPackedNR);
 
-            if (trans_a) {
+            if (trans_a && a_block != i0) {
                 // op(A) row i is column i of A: stride-lda gather.
                 a_pack.resize(static_cast<size_t>(bm) * k);
                 for (int64_t t = 0; t < k; ++t) {
@@ -212,45 +268,68 @@ gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
                         a_pack[static_cast<size_t>(ii) * k + t] = src[ii];
                 }
             }
+            const float *ta = trans_a ? a_pack.data() : pa + i0 * lda;
+            const int64_t tlda = trans_a ? k : lda;
+            if (gather && a_block != i0) {
+                a_wide.resize(static_cast<size_t>(bm) * k);
+                for (int64_t ii = 0; ii < bm; ++ii)
+                    std::copy(ta + ii * tlda, ta + ii * tlda + k,
+                              a_wide.begin() + ii * k);
+            }
+            a_block = i0;
 
             std::fill(acc.begin(),
                       acc.begin() + static_cast<size_t>(bm) * kPackedNR,
                       0.0);
 
-            for (int64_t k0 = 0; k0 < k; k0 += kPackedKChunk) {
-                const int64_t kc = std::min(kPackedKChunk, k - k0);
-                // Decode the code panel through the 256-entry table
-                // into column-interleaved doubles; lanes beyond bn are
-                // zero so their (discarded) accumulators stay inert.
-                if (bn < kPackedNR)
-                    std::fill(wdec.begin(),
-                              wdec.begin() +
-                                  static_cast<size_t>(kc) * kPackedNR,
-                              0.0);
-                if (trans_w) {
-                    // op(W) column j is code row j: contiguous k run.
-                    for (int64_t jj = 0; jj < bn; ++jj) {
-                        const uint8_t *row = codes + (j0 + jj) * ldw + k0;
-                        for (int64_t t = 0; t < kc; ++t)
-                            wdec[static_cast<size_t>(t * kPackedNR + jj)] =
-                                table[row[t]];
+            if (gather && trans_w) {
+                // op(W) column j is code row j: lane jj walks row j0+jj
+                // along k (lanes past bn re-walk row j0, discarded).
+                int32_t off[kPackedNR];
+                for (int64_t jj = 0; jj < kPackedNR; ++jj)
+                    off[jj] = static_cast<int32_t>(
+                        (j0 + (jj < bn ? jj : 0)) * ldw);
+                detail::gatherFmaStrided(codes, off, 1, table,
+                                         a_wide.data(), k, bm, k,
+                                         acc.data(), wdec.data());
+            } else if (gather && bn == kPackedNR) {
+                // op(W) column j is code column j: a k step's 8 codes
+                // are adjacent bytes of code row k.
+                detail::gatherFmaContig(codes + j0, ldw, nullptr, table,
+                                        a_wide.data(), k, bm, k,
+                                        acc.data(), wdec.data());
+            } else {
+                // Scalar decode (NEON, portable, ragged contiguous
+                // strips): each [kc x 8] code panel goes through the
+                // table into column-interleaved doubles; lanes beyond bn
+                // are zero so their accumulators stay inert.
+                for (int64_t k0 = 0; k0 < k; k0 += kPackedKChunk) {
+                    const int64_t kc = std::min(kPackedKChunk, k - k0);
+                    if (bn < kPackedNR)
+                        std::fill(wdec.begin(),
+                                  wdec.begin() +
+                                      static_cast<size_t>(kc) * kPackedNR,
+                                  0.0);
+                    if (trans_w) {
+                        for (int64_t jj = 0; jj < bn; ++jj) {
+                            const uint8_t *row =
+                                codes + (j0 + jj) * ldw + k0;
+                            for (int64_t t = 0; t < kc; ++t)
+                                wdec[static_cast<size_t>(
+                                    t * kPackedNR + jj)] = table[row[t]];
+                        }
+                    } else {
+                        for (int64_t t = 0; t < kc; ++t) {
+                            const uint8_t *row =
+                                codes + (k0 + t) * ldw + j0;
+                            for (int64_t jj = 0; jj < bn; ++jj)
+                                wdec[static_cast<size_t>(
+                                    t * kPackedNR + jj)] = table[row[jj]];
+                        }
                     }
-                } else {
-                    // op(W) column j is code column j: stride-ldw walk.
-                    for (int64_t t = 0; t < kc; ++t) {
-                        const uint8_t *row = codes + (k0 + t) * ldw + j0;
-                        for (int64_t jj = 0; jj < bn; ++jj)
-                            wdec[static_cast<size_t>(t * kPackedNR + jj)] =
-                                table[row[jj]];
-                    }
-                }
-
-                for (int64_t ii = 0; ii < bm; ++ii) {
-                    const float *ra = trans_a
-                        ? a_pack.data() + ii * k + k0
-                        : pa + (i0 + ii) * lda + k0;
-                    dot(ra, wdec.data(), kc,
-                        acc.data() + ii * kPackedNR);
+                    for (int64_t ii = 0; ii < bm; ++ii)
+                        dot(ta + ii * tlda + k0, wdec.data(), kc,
+                            acc.data() + ii * kPackedNR);
                 }
             }
 
@@ -291,31 +370,9 @@ packedDotRows(const float *q, const uint8_t *codes, const double *table,
               int64_t rows, int64_t cols, int64_t stride, float *out,
               PackedKvScratch &scratch)
 {
-    static const DotFn dot = pickDotKernel();
-    scratch.panel.resize(
-        static_cast<size_t>(kPackedKChunk * kPackedNR));
-    double *wdec = scratch.panel.data();
-    double acc[kPackedNR];
-
-    for (int64_t r0 = 0; r0 < rows; r0 += kPackedNR) {
-        const int64_t bn = std::min(rows - r0, kPackedNR);
-        std::fill(acc, acc + kPackedNR, 0.0);
-        // The k dimension here is the column run of each code row
-        // (contiguous), chunked so the decoded panel stays L1-resident.
-        for (int64_t c0 = 0; c0 < cols; c0 += kPackedKChunk) {
-            const int64_t kc = std::min(kPackedKChunk, cols - c0);
-            if (bn < kPackedNR)
-                std::fill(wdec, wdec + kc * kPackedNR, 0.0);
-            for (int64_t jj = 0; jj < bn; ++jj) {
-                const uint8_t *row = codes + (r0 + jj) * stride + c0;
-                for (int64_t t = 0; t < kc; ++t)
-                    wdec[t * kPackedNR + jj] = table[row[t]];
-            }
-            dot(q + c0, wdec, kc, acc);
-        }
-        for (int64_t jj = 0; jj < bn; ++jj)
-            out[r0 + jj] = static_cast<float>(acc[jj]);
-    }
+    const int32_t page = 0;
+    packedDotRowsPaged(q, codes, table, &page, rows, rows, cols, stride,
+                       out, scratch);
 }
 
 void
@@ -323,31 +380,9 @@ packedAccumRows(const float *w, const uint8_t *codes, const double *table,
                 int64_t rows, int64_t cols, int64_t stride, float *out,
                 PackedKvScratch &scratch)
 {
-    static const DotFn dot = pickDotKernel();
-    scratch.panel.resize(
-        static_cast<size_t>(kPackedKChunk * kPackedNR));
-    double *wdec = scratch.panel.data();
-    double acc[kPackedNR];
-
-    for (int64_t c0 = 0; c0 < cols; c0 += kPackedNR) {
-        const int64_t bn = std::min(cols - c0, kPackedNR);
-        std::fill(acc, acc + kPackedNR, 0.0);
-        // The k dimension is the cache length: stride-@p stride walk
-        // down the rows, ascending so accumulation order matches gemm.
-        for (int64_t r0 = 0; r0 < rows; r0 += kPackedKChunk) {
-            const int64_t kc = std::min(kPackedKChunk, rows - r0);
-            if (bn < kPackedNR)
-                std::fill(wdec, wdec + kc * kPackedNR, 0.0);
-            for (int64_t t = 0; t < kc; ++t) {
-                const uint8_t *row = codes + (r0 + t) * stride + c0;
-                for (int64_t jj = 0; jj < bn; ++jj)
-                    wdec[t * kPackedNR + jj] = table[row[jj]];
-            }
-            dot(w + r0, wdec, kc, acc);
-        }
-        for (int64_t jj = 0; jj < bn; ++jj)
-            out[c0 + jj] = static_cast<float>(acc[jj]);
-    }
+    const int32_t page = 0;
+    packedAccumRowsPaged(w, codes, table, &page, rows, rows, cols, stride,
+                         out, scratch);
 }
 
 void
@@ -357,11 +392,27 @@ packedDotRowsPaged(const float *q, const uint8_t *codes,
                    int64_t stride, float *out, PackedKvScratch &scratch)
 {
     static const DotFn dot = pickDotKernel();
+    static const bool gather = detail::packedGatherAvailable();
     scratch.panel.resize(
         static_cast<size_t>(kPackedKChunk * kPackedNR));
     double *wdec = scratch.panel.data();
-    double acc[kPackedNR];
 
+    if (gather && pagedRowOffsets(pages, page_size, rows, stride, cols,
+                                  scratch.rows)) {
+        // Lane jj of strip s walks code row 8s + jj along c (the k
+        // dimension): every strip in one call.
+        const int64_t strips = (rows + kPackedNR - 1) / kPackedNR;
+        scratch.a.assign(q, q + cols);
+        scratch.acc.assign(static_cast<size_t>(strips * kPackedNR), 0.0);
+        detail::gatherFmaStrided(codes, scratch.rows.data(), strips, table,
+                                 scratch.a.data(), 0, 1, cols,
+                                 scratch.acc.data(), wdec);
+        for (int64_t r = 0; r < rows; ++r)
+            out[r] = static_cast<float>(scratch.acc[static_cast<size_t>(r)]);
+        return;
+    }
+
+    double acc[kPackedNR];
     for (int64_t r0 = 0; r0 < rows; r0 += kPackedNR) {
         const int64_t bn = std::min(rows - r0, kPackedNR);
         std::fill(acc, acc + kPackedNR, 0.0);
@@ -393,31 +444,44 @@ packedAccumRowsPaged(const float *w, const uint8_t *codes,
                      int64_t stride, float *out, PackedKvScratch &scratch)
 {
     static const DotFn dot = pickDotKernel();
+    static const bool gather = detail::packedGatherAvailable();
     scratch.panel.resize(
         static_cast<size_t>(kPackedKChunk * kPackedNR));
     double *wdec = scratch.panel.data();
     double acc[kPackedNR];
 
+    const bool simd = gather && pagedRowOffsets(pages, page_size, rows,
+                                                stride, cols, scratch.rows);
+    if (simd)
+        scratch.a.assign(w, w + rows);
+
     for (int64_t c0 = 0; c0 < cols; c0 += kPackedNR) {
         const int64_t bn = std::min(cols - c0, kPackedNR);
         std::fill(acc, acc + kPackedNR, 0.0);
-        // acc persists across every r chunk (and page seam): same
-        // ascending-r double accumulation as the contiguous kernel.
-        for (int64_t r0 = 0; r0 < rows; r0 += kPackedKChunk) {
-            const int64_t kc = std::min(kPackedKChunk, rows - r0);
-            if (bn < kPackedNR)
-                std::fill(wdec, wdec + kc * kPackedNR, 0.0);
-            for (int64_t t = 0; t < kc; ++t) {
-                const int64_t r = r0 + t;
-                const int64_t phys =
-                    static_cast<int64_t>(pages[r / page_size]) *
-                        page_size +
-                    r % page_size;
-                const uint8_t *row = codes + phys * stride + c0;
-                for (int64_t jj = 0; jj < bn; ++jj)
-                    wdec[t * kPackedNR + jj] = table[row[jj]];
+        // The k dimension is the cache length, walked in ascending
+        // logical row order through the page table; acc persists across
+        // every page seam, so no intermediate rounding is introduced.
+        if (simd && bn == kPackedNR) {
+            detail::gatherFmaContig(codes + c0, 0, scratch.rows.data(),
+                                    table, scratch.a.data(), 0, 1, rows,
+                                    acc, wdec);
+        } else {
+            for (int64_t r0 = 0; r0 < rows; r0 += kPackedKChunk) {
+                const int64_t kc = std::min(kPackedKChunk, rows - r0);
+                if (bn < kPackedNR)
+                    std::fill(wdec, wdec + kc * kPackedNR, 0.0);
+                for (int64_t t = 0; t < kc; ++t) {
+                    const int64_t r = r0 + t;
+                    const int64_t phys =
+                        static_cast<int64_t>(pages[r / page_size]) *
+                            page_size +
+                        r % page_size;
+                    const uint8_t *row = codes + phys * stride + c0;
+                    for (int64_t jj = 0; jj < bn; ++jj)
+                        wdec[t * kPackedNR + jj] = table[row[jj]];
+                }
+                dot(w + r0, wdec, kc, acc);
             }
-            dot(w + r0, wdec, kc, acc);
         }
         for (int64_t jj = 0; jj < bn; ++jj)
             out[c0 + jj] = static_cast<float>(acc[jj]);

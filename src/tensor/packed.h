@@ -11,12 +11,14 @@
  * decode table the paper's hardware uses, section 4) plus a per-tensor
  * power-of-two scale — 1 byte/element instead of 4.
  *
- * gemmQuantized() consumes the codes directly: the tile micro-kernel
- * decodes a [kc x 8] panel through the code table right before the FMA
- * loop (AVX2 / NEON behind a portable fallback, see packed_simd.h) and
- * applies the consumer's element-wise epilogue — bias add, GeLU,
- * residual add, quantize-back — on the output tile while it is hot,
- * instead of as separate full-tensor passes. This is the paper's
+ * gemmQuantized() consumes the codes directly: on AVX2 the micro-kernel
+ * gathers each k step's 8 code values from the table inside the FMA
+ * loop (the software form of the paper's decoder in front of each MAC,
+ * section 4); NEON and the portable build decode a [kc x 8] panel
+ * through the table right before the FMA loop (see packed_simd.h). The
+ * kernel then applies the consumer's element-wise epilogue — bias add,
+ * GeLU, residual add, quantize-back — on the output tile while it is
+ * hot, instead of as separate full-tensor passes. This is the paper's
  * "operation fusion" (section 4.2) turned into a speed feature.
  *
  * Numerics contract: gemmQuantized is **bit-identical** to
@@ -71,6 +73,12 @@ class PackedTensor
     static PackedTensor pack(const Tensor &t, const Quantizer &q,
                              float scale = 1.0f);
 
+    /// pack() of @p t's transpose: a [cols, rows] tensor whose code
+    /// (c, r) is that of t(r, c), built without an fp32 transposed copy
+    /// (Linear packs W^T this way).
+    static PackedTensor packTransposed(const Tensor &t, const Quantizer &q,
+                                       float scale = 1.0f);
+
     /// Decode every code back to fp32 (the reference the fused kernel
     /// is tested against). Bit-identical to quantize-then-scale of the
     /// original tensor.
@@ -97,6 +105,9 @@ class PackedTensor
     size_t fp32Bytes() const { return codes_.size() * sizeof(float); }
 
   private:
+    static PackedTensor packCodes(const Tensor &t, const Quantizer &q,
+                                  float scale, bool transpose);
+
     std::vector<int64_t> shape_; ///< Rank 2 (rows, cols).
     std::vector<uint8_t> codes_;
     std::vector<double> table_; ///< 256 entries, zero-padded.
@@ -160,13 +171,14 @@ struct GemmEpilogue
  * C = alpha * op(A) . op(W) + beta * C, then the fused epilogue.
  * A is fp32 (m x k after optional transpose); W is packed 8-bit codes
  * (k x n after optional transpose: trans_w=true takes W stored [n, k],
- * the Linear weight layout). Accumulation is double in ascending-k
- * order per output element — bit-identical to gemm()/gemmReference()
- * over unpack(W), with the epilogue matching the separate passes bit
- * for bit. Parallel over (64-row x 8-column) output tiles, so m=1
- * decode GEMVs still spread over cores; the micro-kernel decodes each
- * [kc x 8] code panel through the 256-entry table and runs the
- * column-vectorized FMA loop (AVX2/NEON when available).
+ * the layout PackedTensor::pack gives a [out, in] weight). Accumulation
+ * is double in ascending-k order per output element — bit-identical to
+ * gemm()/gemmReference() over unpack(W), with the epilogue matching the
+ * separate passes bit for bit. Parallel over (64-row x 8-column) output
+ * tiles, so m=1 decode GEMVs still spread over cores. With
+ * trans_w=false (Linear packs W^T, see packTransposed) a k step's 8
+ * output columns are adjacent codes, the cheapest gather addressing;
+ * trans_w=true gathers 8 k steps of 8 code rows at a time.
  */
 void gemmQuantized(const Tensor &a, bool trans_a, const PackedTensor &w,
                    bool trans_w, Tensor &c, float alpha = 1.0f,
@@ -183,13 +195,18 @@ void gemmQuantizedReference(const Tensor &a, bool trans_a,
                             const GemmEpilogue *epi = nullptr);
 
 /**
- * Scratch for the packed KV-cache attention GEMVs below: the decoded
- * [kc x 8] double panel, reused across calls so a decode step allocates
- * it once per attention forward instead of once per (batch, head).
+ * Scratch for the packed KV-cache attention GEMVs below, reused across
+ * calls so a decode step allocates it once per attention forward
+ * instead of once per (batch, head): the scalar path's decoded
+ * [kc x 8] double panel, and the gather path's resolved code-row
+ * offsets, double-widened activation row and output accumulators.
  */
 struct PackedKvScratch
 {
     std::vector<double> panel;
+    std::vector<int32_t> rows;
+    std::vector<double> a;
+    std::vector<double> acc;
 };
 
 /**
@@ -203,9 +220,9 @@ struct PackedKvScratch
  * panel). Accumulation is double in ascending-c order per output with
  * one final float cast, so the result is bit-identical to extracting
  * the head into fp32 and calling gemm()/gemmReference(). Eight outputs
- * advance together through the SIMD dot kernel (AVX2/NEON/portable);
- * codes >= the format's grid size decode to NaN and poison only the
- * outputs that read them.
+ * advance together, one code row per SIMD lane; codes >= the format's
+ * grid size decode to NaN and poison only the outputs that read them.
+ * Runs as packedDotRowsPaged over one page of @p rows rows.
  */
 void packedDotRows(const float *q, const uint8_t *codes,
                    const double *table, int64_t rows, int64_t cols,
@@ -219,7 +236,8 @@ void packedDotRows(const float *q, const uint8_t *codes,
  * for c in [0, cols) — i.e. gemm(w[1 x rows], false, V[rows x cols],
  * false, out) with V stored as codes. Same ascending-r double
  * accumulation and single final float cast as gemm(); bit-identical to
- * the fp32 head-extract path.
+ * the fp32 head-extract path. Runs as packedAccumRowsPaged over one
+ * page of @p rows rows.
  */
 void packedAccumRows(const float *w, const uint8_t *codes,
                      const double *table, int64_t rows, int64_t cols,
@@ -231,11 +249,13 @@ void packedAccumRows(const float *w, const uint8_t *codes,
  *
  *   pages[r / page_size] * page_size + r % page_size
  *
- * of the arena-wide panel @p codes. Only the address computation
- * differs from packedDotRows — the accumulation order (double,
- * ascending c, one final float cast per output) is unchanged, so the
- * result is bit-identical to gathering the pages into a contiguous
- * slab and calling packedDotRows.
+ * of the arena-wide panel @p codes. The page table is resolved once
+ * per call into code-row offsets; only the address computation differs
+ * from a contiguous slab — the accumulation order (double, ascending c,
+ * one final float cast per output) is unchanged, so the result is
+ * bit-identical to gathering the pages into a contiguous slab and
+ * calling gemm(). On AVX2, lane jj of each 8-row strip gathers 8 codes
+ * of its row at a time and never reads past the row's @p cols slice.
  */
 void packedDotRowsPaged(const float *q, const uint8_t *codes,
                         const double *table, const int32_t *pages,
@@ -248,7 +268,9 @@ void packedDotRowsPaged(const float *q, const uint8_t *codes,
  * addressing). The per-output double accumulator persists across row
  * chunks — and therefore across page boundaries — exactly as in the
  * contiguous kernel, so no intermediate float rounding is introduced
- * at page seams: bit-identical to the slab kernel on the same rows.
+ * at page seams: bit-identical to the slab kernel on the same rows. On
+ * AVX2 each step's 8 codes are adjacent bytes of one page row (ragged
+ * column strips, cols % 8 != 0, take the scalar panel path).
  */
 void packedAccumRowsPaged(const float *w, const uint8_t *codes,
                           const double *table, const int32_t *pages,

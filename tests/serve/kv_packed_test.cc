@@ -20,6 +20,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <string>
 
 #include "data/tasks.h"
 #include "nn/model.h"
@@ -229,6 +231,119 @@ TEST(KvPacked, NaNRowsPackToReservedCodeAndDecodeNonFinite)
     packedDotRows(q.data(), cache.k_codes.data(), cache.table.data(), 1,
                   d_model, d_model, &score, scratch);
     EXPECT_FALSE(std::isfinite(score));
+}
+
+/// Every (page size, row count, head width) the paged GEMV kernels must
+/// match gather-to-contiguous + gemm on: pages scattered through an
+/// arena whose highest page comes first (so the last head of the
+/// arena's last row is read), row counts on both sides of each 8-row
+/// strip, head widths with and without a 4-code remainder, and every
+/// head offset of a row.
+TEST(KvPacked, PagedGemvKernelsBitIdenticalToGatherPlusGemm)
+{
+    constexpr int kHeads = 3;
+    constexpr uint8_t kNaNCode = 255; // reserved, decodes to NaN
+    Rng rng(29);
+    for (const QuantConfig &base : packableConfigs()) {
+        QuantConfig qc = base;
+        qc.kv_packed = true;
+        const Quantizer *fmt = qc.kvPackedFormat();
+        ASSERT_NE(nullptr, fmt) << qc.name;
+        KVCache probe;
+        probe.reset(1, 1, 8, fmt);
+        const std::vector<double> &table = probe.table;
+        ASSERT_TRUE(std::isnan(table[kNaNCode])) << qc.name;
+        const int64_t grid =
+            static_cast<int64_t>(fmt->gridValues().size());
+
+        for (int64_t ps : {1, 3, 16}) {
+            for (int64_t rows : {1, 7, 8, 9, 15, 16, 17, 33, 258}) {
+                for (int64_t dh : {4, 5, 12, 32}) {
+                    const int64_t d_model = kHeads * dh;
+                    const int64_t n_pages = (rows + ps - 1) / ps;
+                    const int64_t arena_pages = 2 * n_pages + 1;
+                    std::vector<uint8_t> codes(
+                        static_cast<size_t>(arena_pages * ps * d_model));
+                    for (uint8_t &c : codes)
+                        c = static_cast<uint8_t>(rng.randint(grid));
+                    for (int i = 0; i < 3; ++i)
+                        codes[static_cast<size_t>(
+                            rng.randint(static_cast<int64_t>(
+                                codes.size())))] = kNaNCode;
+                    std::vector<int32_t> pages(
+                        static_cast<size_t>(arena_pages));
+                    for (int64_t p = 0; p < arena_pages; ++p)
+                        pages[static_cast<size_t>(p)] =
+                            static_cast<int32_t>(p);
+                    std::shuffle(pages.begin(), pages.end(),
+                                 std::mt19937(static_cast<unsigned>(
+                                     rows * 131 + ps * 7 + dh)));
+                    std::iter_swap(
+                        pages.begin(),
+                        std::max_element(pages.begin(), pages.end()));
+                    // Plus one NaN code that the last head's last column
+                    // of a visible row is sure to read.
+                    const int64_t nan_row = rows / 2;
+                    codes[static_cast<size_t>(
+                        (pages[static_cast<size_t>(nan_row / ps)] * ps +
+                         nan_row % ps) *
+                            d_model +
+                        d_model - 1)] = kNaNCode;
+
+                    Tensor q({1, dh}), w({1, rows});
+                    rng.fillNormal(q);
+                    rng.fillNormal(w);
+                    PackedKvScratch scratch;
+                    for (int h = 0; h < kHeads; ++h) {
+                        const std::string what =
+                            qc.name + " page=" + std::to_string(ps) +
+                            " rows=" + std::to_string(rows) +
+                            " d_head=" + std::to_string(dh) +
+                            " head=" + std::to_string(h);
+                        // Reference: gather the head's rows through the
+                        // page table into contiguous fp32, then gemm.
+                        Tensor kh({rows, dh});
+                        for (int64_t r = 0; r < rows; ++r) {
+                            const int64_t phys =
+                                pages[static_cast<size_t>(r / ps)] * ps +
+                                r % ps;
+                            for (int64_t c = 0; c < dh; ++c)
+                                kh.at(r, c) = static_cast<float>(
+                                    table[codes[static_cast<size_t>(
+                                        phys * d_model + h * dh + c)]]);
+                        }
+                        const uint8_t *head = codes.data() + h * dh;
+
+                        Tensor want_s({1, rows}), got_s({1, rows});
+                        gemm(q, false, kh, true, want_s);
+                        packedDotRowsPaged(q.data(), head, table.data(),
+                                           pages.data(), ps, rows, dh,
+                                           d_model, got_s.data(),
+                                           scratch);
+                        ASSERT_EQ(0, std::memcmp(want_s.data(),
+                                                 got_s.data(),
+                                                 sizeof(float) *
+                                                     static_cast<size_t>(
+                                                         rows)))
+                            << what << " QK^T";
+
+                        Tensor want_c({1, dh}), got_c({1, dh});
+                        gemm(w, false, kh, false, want_c);
+                        packedAccumRowsPaged(w.data(), head, table.data(),
+                                             pages.data(), ps, rows, dh,
+                                             d_model, got_c.data(),
+                                             scratch);
+                        ASSERT_EQ(0, std::memcmp(want_c.data(),
+                                                 got_c.data(),
+                                                 sizeof(float) *
+                                                     static_cast<size_t>(
+                                                         dh)))
+                            << what << " attn.V";
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --- Cache level -----------------------------------------------------

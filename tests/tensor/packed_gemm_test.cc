@@ -91,6 +91,21 @@ TEST(PackedTensor, ExhaustiveRoundTripPerFormat)
     }
 }
 
+TEST(PackedTensor, PackTransposedIsPackOfTheTranspose)
+{
+    const Quantizer q = Quantizer::byName("posit8");
+    Rng rng(9);
+    Tensor t({5, 11}), tt({11, 5});
+    rng.fillNormal(t, 2.0);
+    for (int64_t r = 0; r < 5; ++r)
+        for (int64_t c = 0; c < 11; ++c)
+            tt.at(c, r) = t.at(r, c);
+    const PackedTensor pt = PackedTensor::packTransposed(t, q);
+    ASSERT_EQ((std::vector<int64_t>{11, 5}), pt.shape());
+    expectBitIdentical(pt.unpack(), PackedTensor::pack(tt, q).unpack(),
+                       "packTransposed");
+}
+
 TEST(PackedTensor, RejectsUnpackableInputs)
 {
     const Quantizer q = Quantizer::byName("posit8");
@@ -117,6 +132,16 @@ TEST(GemmQuantized, BitIdenticalToDecodeThenGemm)
         {64, 8, 256},  // exactly one tile and one k chunk
         {65, 129, 66}, // every dimension ragged
         {3, 200, 1},   // k = 1
+        // Both sides of the gather kernels' register path (m <= 4) with
+        // k % 8 = 1, 2, 3, 7 (the strided walk's one-byte tail) and
+        // n % 8 != 0 (ragged strips).
+        {2, 13, 129},
+        {3, 21, 130},
+        {4, 17, 131},
+        {4, 19, 135},
+        {5, 35, 67},
+        {3, 128, 128}, // decode-step GEMV at the edge model's width
+        {16, 40, 258}, // prefill chunk: decoded panel, k split in chunks
     };
     const std::vector<std::pair<float, float>> scales = {
         {1.0f, 0.0f}, {0.5f, 1.0f}, {2.0f, -0.5f}};
@@ -163,49 +188,62 @@ TEST(GemmQuantized, FusedEpilogueBitIdenticalToSeparatePasses)
 {
     const Quantizer fwd = Quantizer::byName("e4m3");
     const Quantizer carrier = Quantizer::bf16();
-    const int64_t m = 33, n = 70, k = 129;
+    struct Case {
+        Shape shape;
+        bool trans_w;
+    };
+    // m = 33 over [n, k] codes runs the decoded-panel path; m = 3 over
+    // W^T codes is a decode step's FFN GEMV on the register path.
+    for (const Case &cs : {Case{{33, 70, 129}, true},
+                           Case{{3, 70, 129}, false}}) {
+        const int64_t m = cs.shape.m, n = cs.shape.n, k = cs.shape.k;
+        const bool tw = cs.trans_w;
+        Rng rng(23);
+        Tensor a({m, k}), bias({n}), skip({m, n});
+        Tensor w(tw ? std::vector<int64_t>{n, k}
+                    : std::vector<int64_t>{k, n});
+        rng.fillNormal(a);
+        rng.fillNormal(w);
+        rng.fillNormal(bias, 0.5);
+        rng.fillNormal(skip);
+        const PackedTensor pw = PackedTensor::pack(w, fwd);
 
-    Rng rng(23);
-    Tensor a({m, k}), w({n, k}), bias({n}), skip({m, n});
-    rng.fillNormal(a);
-    rng.fillNormal(w);
-    rng.fillNormal(bias, 0.5);
-    rng.fillNormal(skip);
-    const PackedTensor pw = PackedTensor::pack(w, fwd);
-
-    // The FFN fc1 tail: bias, carrier, activation-point quant, GeLU,
-    // carrier — and the fc2 tail: bias, carrier, residual-point quant,
-    // residual add, carrier.
-    for (const bool residual_tail : {false, true}) {
-        GemmEpilogue fused, unfused;
-        QuantHealth hf[3], hu[3];
-        for (GemmEpilogue *e : {&fused, &unfused}) {
-            QuantHealth *h = (e == &fused) ? hf : hu;
-            e->bias(bias.data());
-            e->quant(&carrier, &h[0]);
-            e->quant(&fwd, &h[1]);
-            if (residual_tail)
-                e->residual(skip.data());
-            else
-                e->gelu();
-            e->quant(&carrier, &h[2]);
-        }
-        Tensor c0({m, n}), c1({m, n});
-        gemmQuantized(a, false, pw, true, c0, 1.0f, 0.0f, &fused);
-        gemmQuantizedReference(a, false, pw, true, c1, 1.0f, 0.0f,
-                               &unfused);
-        expectBitIdentical(c0, c1,
-                           residual_tail ? "residual tail" : "gelu tail");
-        for (int s = 0; s < 3; ++s) {
-            EXPECT_EQ(hf[s].count, hu[s].count) << s;
-            EXPECT_EQ(hf[s].saturated, hu[s].saturated) << s;
-            EXPECT_EQ(hf[s].underflow, hu[s].underflow) << s;
-            EXPECT_EQ(hf[s].nonfinite, hu[s].nonfinite) << s;
-            EXPECT_DOUBLE_EQ(hf[s].amax, hu[s].amax) << s;
-            // Tile-order double accumulation: equal to tolerance only.
-            EXPECT_NEAR(hf[s].abs_err_sum, hu[s].abs_err_sum,
-                        1e-9 * (1.0 + hu[s].abs_err_sum))
-                << s;
+        // The FFN fc1 tail: bias, carrier, activation-point quant, GeLU,
+        // carrier — and the fc2 tail: bias, carrier, residual-point
+        // quant, residual add, carrier.
+        for (const bool residual_tail : {false, true}) {
+            GemmEpilogue fused, unfused;
+            QuantHealth hf[3], hu[3];
+            for (GemmEpilogue *e : {&fused, &unfused}) {
+                QuantHealth *h = (e == &fused) ? hf : hu;
+                e->bias(bias.data());
+                e->quant(&carrier, &h[0]);
+                e->quant(&fwd, &h[1]);
+                if (residual_tail)
+                    e->residual(skip.data());
+                else
+                    e->gelu();
+                e->quant(&carrier, &h[2]);
+            }
+            Tensor c0({m, n}), c1({m, n});
+            gemmQuantized(a, false, pw, tw, c0, 1.0f, 0.0f, &fused);
+            gemmQuantizedReference(a, false, pw, tw, c1, 1.0f, 0.0f,
+                                   &unfused);
+            const std::string what = "m=" + std::to_string(m) +
+                (residual_tail ? " residual tail" : " gelu tail");
+            expectBitIdentical(c0, c1, what);
+            for (int s = 0; s < 3; ++s) {
+                EXPECT_EQ(hf[s].count, hu[s].count) << what << s;
+                EXPECT_EQ(hf[s].saturated, hu[s].saturated) << what << s;
+                EXPECT_EQ(hf[s].underflow, hu[s].underflow) << what << s;
+                EXPECT_EQ(hf[s].nonfinite, hu[s].nonfinite) << what << s;
+                EXPECT_DOUBLE_EQ(hf[s].amax, hu[s].amax) << what << s;
+                // Tile-order double accumulation: equal to tolerance
+                // only.
+                EXPECT_NEAR(hf[s].abs_err_sum, hu[s].abs_err_sum,
+                            1e-9 * (1.0 + hu[s].abs_err_sum))
+                    << what << s;
+            }
         }
     }
 }
