@@ -668,6 +668,15 @@ ServeEngine::expireDeadlinesLocked(double now_ms,
 bool
 ServeEngine::step()
 {
+    // The injected stall runs before the engine lock is taken: sleeping
+    // under mu_ would starve submit(), metricsSnapshot() and stop()
+    // callers, since the scheduler loop re-locks as soon as it unlocks.
+    if (cfg_.fault != nullptr) {
+        const double d = cfg_.fault->onStepDelayMs();
+        if (d > 0.0)
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(d));
+    }
     std::vector<Resolution> done;
     bool ran;
     {
@@ -688,13 +697,6 @@ ServeEngine::stepLocked(std::vector<Resolution> &done)
 
     QT8_TRACE_SCOPE("serve/step");
     const int64_t retired_before = metrics_.completed;
-    if (cfg_.fault != nullptr) {
-        const double d = cfg_.fault->onStepDelayMs();
-        if (d > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(d));
-    }
-
     const double t0 = nowMs();
     processCancelsLocked(t0, done);
     expireDeadlinesLocked(t0, done);
@@ -1313,13 +1315,6 @@ ServeEngine::stepPagedLocked(std::vector<Resolution> &done)
 {
     QT8_TRACE_SCOPE("serve/step_paged");
     const int64_t retired_before = metrics_.completed;
-    if (cfg_.fault != nullptr) {
-        const double d = cfg_.fault->onStepDelayMs();
-        if (d > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(d));
-    }
-
     const double t0 = nowMs();
     processCancelsLocked(t0, done);
     expireDeadlinesLocked(t0, done);

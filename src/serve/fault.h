@@ -20,8 +20,9 @@
  *    soak test asserts everyone *else* stays bit-identical.
  *  - Allocation failure: make KVCachePool::acquire look exhausted for
  *    one admission attempt, delaying admission without losing work.
- *  - Step delay: stall the scheduler inside a step, widening race
- *    windows for submit/cancel/stop under ThreadSanitizer.
+ *  - Step delay: stall the scheduler at the start of a step, before
+ *    it takes the engine lock, widening race windows for
+ *    submit/cancel/stop under ThreadSanitizer.
  *  - IO faults (KV spill store): open failure, ENOSPC mid-write, torn
  *    writes (success reported, file truncated), single-byte payload
  *    corruption, and short reads — every failure edge of the tiered
@@ -82,7 +83,8 @@ struct FaultConfig
     /// page-allocation failure (the request stalls one step).
     double page_acquire_fail_rate = 0.0;
 
-    /// Per-step probability of sleeping delay_ms inside the step.
+    /// Per-step probability of sleeping delay_ms at the start of the
+    /// step (engine lock not held).
     double delay_rate = 0.0;
     double delay_ms = 0.0;
 
